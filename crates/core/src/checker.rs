@@ -1,11 +1,18 @@
 //! Integrity-Checker — per-part MD5 hashing and pairwise comparison.
 //!
-//! For a pair of VMs, every header part is hashed directly; executable
-//! section data is first run through Algorithm 2 ([`crate::rva`]) to undo
-//! relocation, then hashed. The set of parts whose hashes disagree is the
-//! comparison outcome — e.g. the paper's §V.B.4 experiment reports
-//! mismatches in `IMAGE_NT_HEADER`, `IMAGE_OPTIONAL_HEADER`, all
-//! `SECTION_HEADER`s and `.text`.
+//! For a pair of VMs, every header part is compared by its MD5 digest,
+//! computed once per capture and cached. Executable section data is first
+//! run through Algorithm 2 ([`crate::rva`]) to undo relocation; the
+//! adjusted sections are then compared byte for byte. The paper hashes
+//! both adjusted sections and compares digests, which is the same decision
+//! (equal bytes iff equal digests, barring a collision, where the byte
+//! compare is the stricter check) at the price of hashing every pair; the
+//! simulated ledger still charges that per-pair MD5, so simulated figures
+//! are unchanged and the saving is on the host clock only. MD5 still
+//! fingerprints headers and [`CanonicalForm`]s. The set of parts that
+//! disagree is the comparison outcome — e.g. the paper's §V.B.4
+//! experiment reports mismatches in `IMAGE_NT_HEADER`,
+//! `IMAGE_OPTIONAL_HEADER`, all `SECTION_HEADER`s and `.text`.
 
 use mc_vmi::VmiSession;
 
@@ -71,7 +78,8 @@ impl ExtractedModule {
 pub struct PairOutcome {
     /// The two VM names compared.
     pub vms: (String, String),
-    /// Parts whose hashes disagreed (empty = full match).
+    /// Parts that disagreed: header digests, or adjusted executable bytes
+    /// (empty = full match).
     pub mismatched: Vec<PartId>,
     /// Relocation slots reconciled across all executable sections.
     pub slots_adjusted: usize,
@@ -105,7 +113,8 @@ impl PairScratch {
 }
 
 /// Compares one module extracted from two VMs (the paper's per-pair unit of
-/// work). Charges hashing/diffing cost to `ledger` when provided.
+/// work). Charges the paper's diffing and per-pair hashing cost to
+/// `ledger` when provided.
 ///
 /// Both captures must have been hashed under the same digest algorithm;
 /// a mismatch is a typed error (digests under different algorithms are
@@ -170,7 +179,7 @@ pub fn compare_pair_with(
         mismatched.push(id.clone());
     }
 
-    // Executable sections: adjust RVAs pairwise, then hash.
+    // Executable sections: adjust RVAs pairwise, then compare the bytes.
     for sa in &a.parts.exec_sections {
         let Some(sb) = b.parts.exec_sections.iter().find(|s| s.name == sa.name) else {
             mismatched.push(PartId::SectionData(sa.name.clone()));
@@ -198,7 +207,9 @@ pub fn compare_pair_with(
             crate::rva::adjust_rvas(bytes_a, bytes_b, a.image.base, b.image.base, a.parts.width);
         slots_adjusted += stats.slots_adjusted;
         residual_diffs += stats.residual_diffs;
-        if bytes_a.len() != bytes_b.len() || digest(algo, bytes_a) != digest(algo, bytes_b) {
+        // The same decision as comparing digests, without hashing each
+        // pair; the ledger above still charges the paper's per-pair hash.
+        if bytes_a != bytes_b {
             mismatched.push(PartId::SectionData(sa.name.clone()));
         }
     }
@@ -293,7 +304,7 @@ pub fn canonical_form(
 mod tests {
     use super::*;
     use mc_guest::build_cloud_with_modules;
-    use mc_hypervisor::{AddressWidth, Hypervisor};
+    use mc_hypervisor::{AddressWidth, Hypervisor, SimDuration};
     use mc_pe::corpus::ModuleBlueprint;
     use mc_vmi::VmiSession;
 
@@ -411,13 +422,38 @@ mod tests {
 
     #[test]
     fn ledger_accrues_checker_costs() {
+        // Per executable section the pair is charged
+        // `(diff_byte_ns + hash_byte_ns × cost_factor) × (len_a + len_b)`:
+        // one diff scan plus the paper's MD5 of both adjusted buffers, as
+        // two contention-scaled charges. Pinned to the nanosecond, so a
+        // host-side change to how equality is decided cannot move the
+        // simulated clock.
         let (hv, guests) = two_vm_cloud(AddressWidth::W32);
         let a = extract_from(&hv, guests[0].vm, "hal.dll");
         let b = extract_from(&hv, guests[1].vm, "hal.dll");
         let mut ledger = VmiSession::attach(&hv, guests[0].vm).unwrap();
+        let cost = *ledger.cost_model();
+        let slowdown = hv.dom0_slowdown();
+        let mut expected = SimDuration::ZERO;
+        for sa in &a.parts.exec_sections {
+            let sb = b
+                .parts
+                .exec_sections
+                .iter()
+                .find(|s| s.name == sa.name)
+                .expect("clean peers share their sections");
+            let bytes = (sa.range.len() + sb.range.len()) as u64;
+            for per_byte in [
+                cost.diff_byte_ns,
+                cost.hash_byte_ns * DigestAlgo::Md5.cost_factor(),
+            ] {
+                expected += cost.process_cost(per_byte, bytes).scaled(slowdown);
+            }
+        }
+        assert!(expected > SimDuration::ZERO);
         let before = ledger.elapsed();
         compare_pair(&a, &b, Some(&mut ledger)).unwrap();
-        assert!(ledger.elapsed() > before);
+        assert_eq!(ledger.elapsed() - before, expected);
     }
 
     #[test]

@@ -19,8 +19,12 @@
 //! * [`checker`] + [`rva`] — **Integrity-Checker**: Algorithm 2. Pairwise
 //!   compares executable sections, locating relocated absolute addresses by
 //!   byte difference, rewriting them back to RVAs (`RVA = abs − base`,
-//!   Equation 1), then MD5-hashing every part and reporting mismatches.
-//!   Majority voting over the pool produces per-VM verdicts.
+//!   Equation 1), then reporting every part that disagrees. Headers are
+//!   compared by their cached MD5 digests; adjusted executable sections
+//!   are compared byte for byte, which decides exactly what comparing
+//!   their MD5 digests would (the simulated clock still charges that
+//!   per-pair hash, so the shortcut saves host time only). Majority voting
+//!   over the pool produces per-VM verdicts.
 //!
 //! Higher-level drivers live in [`pool`] (sequential — as benchmarked in the
 //! paper — and parallel — the paper's proposed improvement) and [`monitor`]

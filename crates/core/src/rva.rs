@@ -16,7 +16,7 @@
 //!    at `j − offset + 1`. Read both slots, compute `RVA = abs − base`
 //!    (Equation 1) on each side; if the RVAs agree it was relocation —
 //!    rewrite both slots to the RVA. If they disagree, the difference is
-//!    *tampering*; leave it (the hashes will expose it).
+//!    *tampering*; leave it (the section compare will expose it).
 //!
 //! The paper's Algorithm 2 line 22 reads `j ← j − offset + 1 − 4`, which
 //! would move the cursor backwards and never terminate; it is a typo for
@@ -25,6 +25,13 @@
 //! If the two bases are identical (possible: the allocator may coincide),
 //! no adjustment is needed or attempted — the images are directly
 //! comparable (`IsDifferenceExist = 0` in the paper).
+//!
+//! Relocated slots are sparse, so most of a section is runs of equal bytes.
+//! The scan skips those runs eight bytes at a time (XOR of two
+//! little-endian words; `trailing_zeros` names the first differing byte)
+//! and steps bytewise only through the sub-word tail. Which differences are
+//! visited, in which order, and what is rewritten are exactly those of the
+//! paper's byte-at-a-time loop; the unit tests keep that loop as an oracle.
 
 use mc_hypervisor::AddressWidth;
 use mc_pe::parser::ParsedModule;
@@ -40,7 +47,7 @@ pub struct AdjustStats {
     /// (or structural divergence). A section-length mismatch counts its
     /// truncated tail here too: bytes past `min(len_a, len_b)` can never
     /// reconcile, and length divergence is itself structural tampering
-    /// evidence. Nonzero residuals always surface as hash mismatches.
+    /// evidence. Nonzero residuals always surface as section mismatches.
     pub residual_diffs: usize,
     /// Bytes scanned (min of the two section lengths).
     pub bytes_scanned: usize,
@@ -69,9 +76,9 @@ fn write_le(buf: &mut [u8], at: usize, v: u64, width: usize) {
 /// reconciled address slots to RVAs **in both buffers**.
 ///
 /// `base_a`/`base_b` are the modules' load bases (`DllBase`). Returns
-/// adjustment statistics; after this call, equal-content sections hash
-/// equal, and any tampering shows up as `residual_diffs > 0` plus a hash
-/// mismatch.
+/// adjustment statistics; after this call, equal-content sections are
+/// byte-equal (and so hash equal), and any tampering shows up as
+/// `residual_diffs > 0` plus a byte (and hash) mismatch.
 pub fn adjust_rvas(
     a: &mut [u8],
     b: &mut [u8],
@@ -113,20 +120,19 @@ pub fn adjust_rvas(
         return stats;
     }
 
-    // Lines 11–23: scan, back up to the slot start, reconcile.
-    let mut j = 0usize;
+    // Lines 11–23: scan, back up to the slot start, reconcile. Rewrites
+    // only touch bytes before the next cursor, so skipping ahead over the
+    // current buffer contents visits exactly the bytes the paper's loop
+    // would stop at.
+    let mut j = next_diff(&a[..len], &b[..len], 0);
     while j < len {
-        if a[j] == b[j] {
-            j += 1;
-            continue;
-        }
         // Slot start: j − offset + 1 (the paper's line 13/14 index).
         let slot = match (j + 1).checked_sub(offset) {
             Some(s) if s + w <= len => s,
             // Difference too close to a section edge to hold an address.
             _ => {
                 stats.residual_diffs += 1;
-                j += 1;
+                j = next_diff(&a[..len], &b[..len], j + 1);
                 continue;
             }
         };
@@ -134,17 +140,39 @@ pub fn adjust_rvas(
         let abs_b = read_le(b, slot, w);
         let rva_a = abs_a.wrapping_sub(base_a) & mask;
         let rva_b = abs_b.wrapping_sub(base_b) & mask;
-        if rva_a == rva_b {
+        let resume = if rva_a == rva_b {
             write_le(a, slot, rva_a, w);
             write_le(b, slot, rva_b, w);
             stats.slots_adjusted += 1;
-            j = slot + w;
+            slot + w
         } else {
             stats.residual_diffs += 1;
-            j += 1;
-        }
+            j + 1
+        };
+        j = next_diff(&a[..len], &b[..len], resume);
     }
     stats
+}
+
+/// Index of the first byte at or after `from` where the equal-length
+/// slices `a` and `b` differ, or their length if none does.
+fn next_diff(a: &[u8], b: &[u8], from: usize) -> usize {
+    let (a, b) = (&a[from..], &b[from..]);
+    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+    let (mut wa, mut wb) = (a.chunks_exact(8), b.chunks_exact(8));
+    for (i, (x, y)) in wa.by_ref().zip(wb.by_ref()).enumerate() {
+        let d = word(x) ^ word(y);
+        if d != 0 {
+            // Little-endian load: the lowest set bit is the first byte.
+            return from + 8 * i + (d.trailing_zeros() / 8) as usize;
+        }
+    }
+    let tail = from + a.len() - wa.remainder().len();
+    wa.remainder()
+        .iter()
+        .zip(wb.remainder())
+        .position(|(x, y)| x != y)
+        .map_or(from + a.len(), |p| tail + p)
 }
 
 /// Relocation-table-driven normalization (ablation ABL-2).
@@ -207,6 +235,131 @@ mod tests {
 
     fn sample_file() -> Vec<u8> {
         (0..600u32).map(|i| (i * 7 % 251) as u8).collect()
+    }
+
+    /// The paper's byte-at-a-time Algorithm 2 loop, kept verbatim as the
+    /// oracle for the word-wise skip in [`adjust_rvas`].
+    fn adjust_rvas_bytewise(
+        a: &mut [u8],
+        b: &mut [u8],
+        base_a: u64,
+        base_b: u64,
+        width: AddressWidth,
+    ) -> AdjustStats {
+        let w = width.bytes();
+        let len = a.len().min(b.len());
+        let tail = a.len().max(b.len()) - len;
+        let mut stats = AdjustStats {
+            bytes_scanned: len,
+            residual_diffs: tail,
+            ..AdjustStats::default()
+        };
+        let mask = match width {
+            AddressWidth::W32 => 0xFFFF_FFFFu64,
+            AddressWidth::W64 => u64::MAX,
+        };
+        let ba = base_a.to_le_bytes();
+        let bb = base_b.to_le_bytes();
+        let mut offset = 0usize;
+        let mut difference_exists = false;
+        for i in 0..w {
+            offset += 1;
+            if ba[i] != bb[i] {
+                difference_exists = true;
+                break;
+            }
+        }
+        if !difference_exists {
+            stats.identical_bases = true;
+            return stats;
+        }
+        let mut j = 0usize;
+        while j < len {
+            if a[j] == b[j] {
+                j += 1;
+                continue;
+            }
+            let slot = match (j + 1).checked_sub(offset) {
+                Some(s) if s + w <= len => s,
+                _ => {
+                    stats.residual_diffs += 1;
+                    j += 1;
+                    continue;
+                }
+            };
+            let abs_a = read_le(a, slot, w);
+            let abs_b = read_le(b, slot, w);
+            let rva_a = abs_a.wrapping_sub(base_a) & mask;
+            let rva_b = abs_b.wrapping_sub(base_b) & mask;
+            if rva_a == rva_b {
+                write_le(a, slot, rva_a, w);
+                write_le(b, slot, rva_b, w);
+                stats.slots_adjusted += 1;
+                j = slot + w;
+            } else {
+                stats.residual_diffs += 1;
+                j += 1;
+            }
+        }
+        stats
+    }
+
+    /// `base_a` with its `shared` low bytes kept and every higher byte of
+    /// the guest word taken from `noise`; byte `shared` is forced to differ,
+    /// so Algorithm 2's `offset` is exactly `shared + 1`.
+    fn base_sharing_low_bytes(base_a: u64, noise: u64, shared: usize, width: AddressWidth) -> u64 {
+        let word = match width {
+            AddressWidth::W32 => 0xFFFF_FFFFu64,
+            AddressWidth::W64 => u64::MAX,
+        };
+        let low = (1u64 << (8 * shared)) - 1;
+        let mut b = ((base_a & low) | (noise & !low)) & word;
+        if ((b ^ base_a) >> (8 * shared)) & 0xFF == 0 {
+            b ^= 0x5Au64 << (8 * shared);
+        }
+        b
+    }
+
+    /// Runs both implementations on copies of `(a, b)` and asserts equal
+    /// statistics and equal rewritten buffers.
+    fn assert_matches_oracle(a: &[u8], b: &[u8], base_a: u64, base_b: u64, width: AddressWidth) {
+        let (mut fa, mut fb) = (a.to_vec(), b.to_vec());
+        let (mut oa, mut ob) = (a.to_vec(), b.to_vec());
+        let fast = adjust_rvas(&mut fa, &mut fb, base_a, base_b, width);
+        let oracle = adjust_rvas_bytewise(&mut oa, &mut ob, base_a, base_b, width);
+        assert_eq!(fast, oracle, "stats, len {}/{}", a.len(), b.len());
+        assert_eq!(fa, oa, "rewritten a");
+        assert_eq!(fb, ob, "rewritten b");
+    }
+
+    #[test]
+    fn word_skip_matches_bytewise_loop_on_short_and_ragged_lengths() {
+        // Every length up to five words, every offset value of both widths,
+        // relocations at three strides, plus a tampered byte at each end
+        // and a one-byte truncation.
+        for width in [AddressWidth::W32, AddressWidth::W64] {
+            let w = width.bytes();
+            let base_a = 0xFFFF_F880_F712_3456u64 & if w == 4 { 0xFFFF_FFFF } else { u64::MAX };
+            for shared in 0..w {
+                let base_b = base_sharing_low_bytes(base_a, 0x0123_4567_89AB_CDEF, shared, width);
+                for len in 0..=40usize {
+                    let file: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
+                    for stride in [w, w + 1, 2 * w + 3] {
+                        let slots: Vec<usize> =
+                            (0..(len + 1).saturating_sub(w)).step_by(stride).collect();
+                        let (a, b) = load_pair(&file, &slots, base_a, base_b, width);
+                        assert_matches_oracle(&a, &b, base_a, base_b, width);
+                        if len > 0 {
+                            let mut t = a.clone();
+                            t[0] ^= 0x81;
+                            t[len - 1] ^= 0x18;
+                            assert_matches_oracle(&t, &b, base_a, base_b, width);
+                            assert_matches_oracle(&a, &b[..len - 1], base_a, base_b, width);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -381,6 +534,55 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The word-wise skip is indistinguishable from the paper's
+            /// byte loop: equal `AdjustStats` and equal rewritten buffers
+            /// over random content, widths, bases sharing 0..w−1 low
+            /// bytes (every `offset`), tampering, truncation and
+            /// identical bases.
+            #[test]
+            fn word_skip_matches_bytewise_loop(
+                file in proptest::collection::vec(any::<u8>(), 0..2048),
+                wide in proptest::bool::ANY,
+                shared in 0usize..8,
+                base_a in any::<u64>(),
+                noise in any::<u64>(),
+                same_base in 0u8..8,
+                stride in 0usize..200,
+                tampers in proptest::collection::vec(any::<u32>(), 0..6),
+                cut in 0usize..12,
+                cut_side in 0u8..3,
+            ) {
+                let width = if wide { AddressWidth::W64 } else { AddressWidth::W32 };
+                let w = width.bytes();
+                let base_a = if wide { base_a } else { base_a & 0xFFFF_FFFF };
+                let base_b = if same_base == 0 {
+                    base_a
+                } else {
+                    base_sharing_low_bytes(base_a, noise, shared % w, width)
+                };
+                let slots: Vec<usize> = (0..(file.len() + 1).saturating_sub(w))
+                    .step_by(w + stride)
+                    .collect();
+                let (mut a, mut b) = load_pair(&file, &slots, base_a, base_b, width);
+                for t in tampers {
+                    let side = if t & 1 == 0 { &mut a } else { &mut b };
+                    if !side.is_empty() {
+                        let at = (t >> 8) as usize % side.len();
+                        side[at] ^= (t >> 1) as u8 | 1;
+                    }
+                }
+                match cut_side {
+                    1 => a.truncate(a.len().saturating_sub(cut)),
+                    2 => b.truncate(b.len().saturating_sub(cut)),
+                    _ => {}
+                }
+                assert_matches_oracle(&a, &b, base_a, base_b, width);
+            }
+        }
 
         proptest! {
             /// For arbitrary content, slot placement and distinct bases,
